@@ -1,17 +1,16 @@
 """Micro-benchmark of the simulator cycle loop (the BENCH_core trajectory).
 
-Measures cycles/second of the activity-gated loop and of the ungated
-reference loop at low / mid / saturation load on 4x4 and 8x8 meshes
-(mixed traffic, the Fig. 5 operating regime), plus two instrumented
-fig5 mid points: an O1TURN-routed one whose ``vs_xy_mid`` ratio (gated
-o1turn / gated xy, same process, same budgets) pins the cost of the
-routing-strategy indirection, and an on-off-injected one whose
+Measures cycles/second of the cycle loop at low / mid / saturation load
+on 4x4 and 8x8 meshes (mixed traffic, the Fig. 5 operating regime),
+plus three instrumented fig5 mid points: an O1TURN-routed one whose
+``vs_xy_mid`` ratio (o1turn / xy, same process, same budgets) pins the
+cost of the routing-strategy indirection, an on-off-injected one whose
 ``vs_bernoulli_mid`` ratio pins the cost of the injection-process
 indirection (the per-cycle ``ChainState.pulse`` dispatch plus the
 private chain stream, riding the same hot path), and a fully observed
 one (tracer + sampler + profiler attached) whose ``vs_plain_mid``
 ratio pins the probes-ON cost of the observability layer; results go
-to ``BENCH_core.json`` so the speedup trajectory is pinned across PRs.
+to ``BENCH_core.json`` so the trajectory is pinned across PRs.
 
 The array-backend points add the representation-change payoff
 (``vs_object_mid``, array kernel vs object oracle at mid load on
@@ -32,10 +31,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_core.py \
         --check benchmarks/BENCH_core.json --tolerance 0.30         # CI smoke
 
-``--check`` compares the *speedup ratios* (gated vs reference, both
-measured in the same process on the same machine) against the committed
-baseline, which makes the regression gate robust to runner speed;
-absolute cycles/sec are recorded for human trend-reading only.  In
+``--check`` compares the *ratios* (``vs_*``: both sides measured
+interleaved in the same process on the same machine) against the
+committed baseline, which makes the regression gate robust to runner
+speed; absolute cycles/sec are recorded for human trend-reading only.  In
 check mode the cycle budgets are taken from the baseline's
 ``cycles_timed`` so the comparison is apples-to-apples (``--quick`` is
 ignored), and the check fails if any baseline point went unmeasured.
@@ -77,12 +76,11 @@ BATCH_BUDGET_QUICK = 600
 #: larger meshes are derived from the mix's theoretical rate grid.
 FIG5_RATES = {"low": 0.02, "mid": 0.14, "saturation": 0.21}
 
-#: Perf-trajectory anchors: cycles/sec of the *pre-gating* cycle loop
-#: (PR 1, commit 1a1a3b7), measured on the same machine and with the
-#: same cycle budgets as the committed BENCH_core.json baseline.  The
-#: derived ``speedup_vs_pr1_loop`` is only meaningful when the current
-#: run executes on comparable hardware; the CI regression gate uses the
-#: in-process gated/reference ratio instead, which is machine-robust.
+#: Perf-trajectory anchors: cycles/sec of the first cycle loop (commit
+#: 1a1a3b7), measured on the same machine and with the same cycle
+#: budgets as an earlier BENCH_core.json baseline.  The derived
+#: ``speedup_vs_pr1_loop`` is only meaningful when the current run
+#: executes on comparable hardware; it is trajectory data, not a gate.
 PR1_LOOP_CYCLES_PER_SEC = {
     ("4x4", "low"): 2522.3,
     ("4x4", "mid"): 1433.3,
@@ -107,13 +105,13 @@ def load_points(k):
     return {"low": grid[0], "mid": grid[3], "saturation": grid[7]}
 
 
-def time_loop(k, rate, cycles, warmup, gated, routing=None, process=None,
+def time_loop(k, rate, cycles, warmup, routing=None, process=None,
               observed=False, mix=MIXED_TRAFFIC, backend="object"):
     cfg = NocConfig(k=k) if routing is None else NocConfig(
         k=k, routing=make_routing(routing)
     )
     traffic = SyntheticTraffic(mix, rate, seed=7, process=process)
-    sim = Simulator(cfg, traffic, gated=gated, backend=backend)
+    sim = Simulator(cfg, traffic, backend=backend)
     if observed:
         from repro.obs import Observer
 
@@ -162,7 +160,7 @@ def measure(quick=False, budgets=None, repeats=2):
     deterministic, so the fastest run is the least-perturbed one and
     best-of-N keeps a noisy neighbour from tripping (or silently
     re-pinning) the ratio gates.  The two sides of every recorded
-    ratio are timed *interleaved* (gated, reference, gated, ...), so
+    ratio are timed *interleaved* (variant, plain, variant, ...), so
     load drift on the runner hits both equally and the ratio of the
     two best-of-N floors survives a machine whose absolute speed moves
     between points."""
@@ -184,34 +182,30 @@ def measure(quick=False, budgets=None, repeats=2):
             budget = default
             if budgets:
                 budget = budgets.get((f"{k}x{k}", load), default)
-            gated, reference = interleaved(
-                k, rate, budget, warmup,
-                variants=[{"gated": True}, {"gated": False}],
+            cps = max(
+                time_loop(k, rate, budget, warmup) for _ in range(repeats)
             )
             point = {
                 "mesh": f"{k}x{k}",
                 "load": load,
                 "rate": round(rate, 6),
                 "cycles_timed": budget,
-                "gated_cycles_per_sec": round(gated, 1),
-                "reference_cycles_per_sec": round(reference, 1),
-                "speedup": round(gated / reference, 3),
+                "cycles_per_sec": round(cps, 1),
             }
             anchor = PR1_LOOP_CYCLES_PER_SEC.get((f"{k}x{k}", load))
             if anchor:
                 point["pr1_loop_cycles_per_sec"] = anchor
-                point["speedup_vs_pr1_loop"] = round(gated / anchor, 3)
+                point["speedup_vs_pr1_loop"] = round(cps / anchor, 3)
             points.append(point)
             print(
                 f"{k}x{k} {load:10s} rate={rate:.4f}  "
-                f"gated={gated:10,.0f} c/s  reference={reference:10,.0f} c/s  "
-                f"speedup={gated / reference:.2f}x",
+                f"loop={cps:10,.0f} c/s",
                 file=sys.stderr,
             )
         if k == 4:
             # instrumented fig5 mid points: each re-times the mid load
             # with one extra layer engaged and pins its cost as a
-            # gated/gated ratio against the plain mid point:
+            # ratio against the plain mid point:
             #
             # * ``vs_xy_mid`` prices the routing-strategy indirection
             #   (header state, per-phase VC queues, the RouteState
@@ -232,32 +226,25 @@ def measure(quick=False, budgets=None, repeats=2):
                 budget = default
                 if budgets:
                     budget = budgets.get(("4x4", load), default)
-                gated, reference, plain = interleaved(
-                    4, rate, budget, warmup,
-                    variants=[
-                        {"gated": True, **kwargs},
-                        {"gated": False, **kwargs},
-                        {"gated": True},
-                    ],
+                variant, plain = interleaved(
+                    4, rate, budget, warmup, variants=[kwargs, {}]
                 )
-                ratio = gated / plain
+                ratio = variant / plain
                 points.append(
                     {
                         "mesh": "4x4",
                         "load": load,
                         "rate": round(rate, 6),
                         "cycles_timed": budget,
-                        "gated_cycles_per_sec": round(gated, 1),
-                        "reference_cycles_per_sec": round(reference, 1),
-                        "speedup": round(gated / reference, 3),
+                        "cycles_per_sec": round(variant, 1),
+                        "plain_cycles_per_sec": round(plain, 1),
                         ratio_key: round(ratio, 3),
                     }
                 )
                 print(
                     f"4x4 {load:10s} rate={rate:.4f}  "
-                    f"gated={gated:10,.0f} c/s  "
-                    f"reference={reference:10,.0f} c/s  "
-                    f"speedup={gated / reference:.2f}x  "
+                    f"variant={variant:10,.0f} c/s  "
+                    f"plain={plain:10,.0f} c/s  "
                     f"{ratio_key}={ratio:.2f}x",
                     file=sys.stderr,
                 )
@@ -275,7 +262,7 @@ def measure(quick=False, budgets=None, repeats=2):
             instrumented("mid-traced", "vs_plain_mid", observed=True)
     # array-backend points (DESIGN.md §9): mid-load on 4x4/8x8/16x16,
     # uniform unicast (the array backend rejects broadcast mixes), the
-    # same backend interleaved against the gated object oracle.  The
+    # same backend interleaved against the object oracle.  The
     # ``vs_object_mid`` ratio is the representation-change payoff and
     # is CI-gated like the other ratios; the 16x16 point is the first
     # large-radix scaling exhibit (the object loop runs ~50 cycles/s
@@ -289,8 +276,8 @@ def measure(quick=False, budgets=None, repeats=2):
         arr, obj = interleaved(
             k, rate, budget, ARRAY_WARMUP[k],
             variants=[
-                {"gated": True, "mix": UNIFORM_UNICAST, "backend": "array"},
-                {"gated": True, "mix": UNIFORM_UNICAST},
+                {"mix": UNIFORM_UNICAST, "backend": "array"},
+                {"mix": UNIFORM_UNICAST},
             ],
         )
         points.append(
@@ -360,7 +347,7 @@ def measure(quick=False, budgets=None, repeats=2):
         else default
     arr = max(
         time_loop(
-            k, rate, budget, ARRAY_WARMUP[k], gated=True,
+            k, rate, budget, ARRAY_WARMUP[k],
             mix=UNIFORM_UNICAST, backend="array",
         )
         for _ in range(repeats)
@@ -392,11 +379,11 @@ def probe_gate(overhead_limit=0.02, repeats=7):
 
     Two halves:
 
-    1. **structural** — attaching an Observer must swap the observed
-       step variant in, and detaching must restore the plain stepper
-       and clear every probe slot (router, NIC, input VC, channel), so
-       an un-observed run executes byte-for-byte the pre-observability
-       hot loop;
+    1. **structural** — attaching an Observer must set ``sim.obs``
+       (the one per-cycle test the loop makes), and detaching must
+       reset it to ``None`` and clear every probe slot (router, NIC,
+       input VC, channel), so an un-observed run takes no observer
+       branch at all;
     2. **timing** — an attach/detach survivor must run the fig5 mid
        point within ``overhead_limit`` of a never-observed simulator
        (interleaved best-of-``repeats`` each; the code paths are
@@ -416,13 +403,12 @@ def probe_gate(overhead_limit=0.02, repeats=7):
     failures = []
 
     sim = build()
-    plain_step = sim._stepper().__func__
     obs = Observer(trace=True, sample=64, profile=True).attach(sim)
-    if sim._stepper().__func__ is plain_step:
-        failures.append("attach did not swap in the observed stepper")
+    if sim.obs is not obs:
+        failures.append("attach did not set sim.obs")
     obs.detach()
-    if sim._stepper().__func__ is not plain_step:
-        failures.append("detach left an observed stepper installed")
+    if sim.obs is not None:
+        failures.append("detach left sim.obs set")
     net = sim.network
     residue = (
         [r for r in net.routers if r.probe is not None]
@@ -529,10 +515,10 @@ def fault_gate(overhead_limit=0.02, repeats=7):
     plain = build()
     if plain.faults is not None:
         failures.append("a default simulator carries a fault engine")
-    if plain._stepper().__func__ is not Simulator._step_gated:
+    if plain._stepper().__func__ is not Simulator._step:
         failures.append("faults-off stepper is not the plain hot loop")
     armed = build(BitErrorFaults(rate=0.0))
-    if getattr(armed._stepper(), "__func__", None) is Simulator._step_gated:
+    if getattr(armed._stepper(), "__func__", None) is Simulator._step:
         failures.append("attach_faults left the plain stepper installed")
 
     def timed(sim):
@@ -566,12 +552,11 @@ def fault_gate(overhead_limit=0.02, repeats=7):
 
 
 def check(result, baseline, tolerance):
-    """Fail (return nonzero) if any point's gated/reference speedup —
-    or any recorded layer/backend ratio (``vs_xy_mid``,
-    ``vs_bernoulli_mid``, ``vs_plain_mid``, ``vs_object_mid``,
-    ``vs_serial_seeds``) — regressed, or any baseline point went
-    unmeasured (a silently-vacuous gate is worse than a failing
-    one)."""
+    """Fail (return nonzero) if any recorded layer/backend ratio
+    (``vs_xy_mid``, ``vs_bernoulli_mid``, ``vs_plain_mid``,
+    ``vs_object_mid``, ``vs_serial_seeds``) regressed, or any baseline
+    point went unmeasured (a silently-vacuous gate is worse than a
+    failing one)."""
     expected = {(p["mesh"], p["load"]): p for p in baseline["points"]}
     failures = []
     covered = set()
@@ -581,7 +566,7 @@ def check(result, baseline, tolerance):
             continue
         covered.add(key)
         for metric in (
-            "speedup", "vs_xy_mid", "vs_bernoulli_mid", "vs_plain_mid",
+            "vs_xy_mid", "vs_bernoulli_mid", "vs_plain_mid",
             "vs_object_mid", "vs_serial_seeds",
         ):
             want = expected[key].get(metric)
@@ -622,13 +607,13 @@ def main(argv=None):
         "--quick", action="store_true", help="reduced cycle budgets (CI smoke)"
     )
     parser.add_argument(
-        "--check", metavar="BASELINE", help="compare speedups against this JSON"
+        "--check", metavar="BASELINE", help="compare ratios against this JSON"
     )
     parser.add_argument(
         "--tolerance",
         type=float,
         default=0.30,
-        help="allowed fractional speedup regression vs the baseline",
+        help="allowed fractional ratio regression vs the baseline",
     )
     parser.add_argument(
         "--repeats",

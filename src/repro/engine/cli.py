@@ -989,7 +989,6 @@ def cmd_stats(args):
     summary = sampler.summary()
     print(
         f"samples={summary['samples']} (every {summary['interval']} cycles) "
-        f"mean_active_routers={summary.get('mean_active_routers', 0):.2f} "
         f"peak_occupancy={summary.get('peak_occupancy', 0)} "
         f"peak_backlog={summary.get('peak_backlog', 0)}"
     )

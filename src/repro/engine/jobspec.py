@@ -76,7 +76,8 @@ class JobSpec:
         return self.config.routing
 
     def __post_init__(self):
-        if self.rate < 0 or self.rate > 1:
+        # written so that NaN fails the check
+        if not 0 <= self.rate <= 1:
             raise ValueError("injection rate must be within [0, 1]")
         for attr in ("warmup", "measure", "drain"):
             if getattr(self, attr) < 0:

@@ -228,8 +228,7 @@ class ArraySimulator:
 
     backend = "array"
 
-    def __init__(self, config, traffic=None, name="", gated=True,
-                 seeds=None):
+    def __init__(self, config, traffic=None, name="", seeds=None):
         if config.separate_st_lt:
             raise _unsupported("the split ST/LT pipeline (separate_st_lt)")
         if config.routing.name not in _SUPPORTED_ROUTING:
@@ -242,7 +241,6 @@ class ArraySimulator:
         self.B = 1 if seeds is None else len(seeds)
         self.cfg = config
         self.name = name or ("proposed" if config.bypass else "baseline")
-        self.gated = gated
         self.cycle = 0
         self.obs = None
         self.faults = None
@@ -1706,7 +1704,7 @@ class ArraySimulator:
     # ------------------------------------------------------------------
 
     def _quiet(self):
-        """Exact equivalent of ``MeshNetwork.quiescent``: no payload in
+        """Exact equivalent of ``MeshNetwork.idle``: no payload in
         flight on any wire, no router-local work, no NIC backlog."""
         return (
             self._fl_n == 0 and self._lv_n == 0 and self._la_n == 0

@@ -6,7 +6,7 @@ surface — ``attach_traffic`` / ``run`` / ``run_experiment`` /
 byte-identical :class:`~repro.noc.metrics.WindowStats` for any
 workload it supports.  Two backends ship:
 
-* ``object`` — the activity-gated object-per-flit cycle loop of
+* ``object`` — the exhaustive object-per-flit cycle loop of
   :class:`repro.noc.simulator.Simulator`.  The default, the oracle,
   and the only backend that supports every workload axis.
 * ``array`` — the struct-of-arrays numpy kernel of

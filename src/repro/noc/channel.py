@@ -8,12 +8,6 @@ Because all cross-component communication goes through channels, the
 per-cycle evaluation order of routers cannot leak combinational state
 across the network, which keeps the simulation deterministic and
 faithful to synchronous hardware.
-
-Channels are also the wake sources of the activity-gated cycle loop
-(DESIGN.md §3): a channel constructed with a ``wake`` callback invokes
-it with the arrival cycle of every payload it accepts, so the mesh can
-schedule the receiving component to run exactly when something will be
-delivered to it, and an idle wire costs nothing per cycle.
 """
 
 from __future__ import annotations
@@ -29,18 +23,14 @@ class Channel:
     """A fixed-delay, in-order pipe carrying at most one payload per cycle."""
 
     __slots__ = (
-        "delay", "name", "wake", "probe", "cid", "_queue", "_last_send_cycle"
+        "delay", "name", "probe", "cid", "_queue", "_last_send_cycle"
     )
 
-    def __init__(self, delay=1, name="", wake=None):
+    def __init__(self, delay=1, name=""):
         if delay < 1:
             raise ValueError("channel delay must be at least one cycle")
         self.delay = delay
         self.name = name
-        #: Called with the arrival cycle of each accepted payload so the
-        #: network can wake the receiving component (``None`` when the
-        #: channel is used standalone, outside a gated mesh).
-        self.wake = wake
         #: observability hook (DESIGN.md §7): called as ``probe(channel,
         #: cycle, payload)`` on every accepted send.  ``None`` (the
         #: default) keeps the fast path at a single identity test; an
@@ -58,12 +48,9 @@ class Channel:
                 f"channel {self.name or id(self)} driven twice in cycle {cycle}"
             )
         self._last_send_cycle = cycle
-        arrival = cycle + self.delay
-        self._queue.append((arrival, payload))
+        self._queue.append((cycle + self.delay, payload))
         if self.probe is not None:
             self.probe(self, cycle, payload)
-        if self.wake is not None:
-            self.wake(arrival)
 
     def receive(self, cycle):
         """Pop every payload whose arrival cycle is ``<= cycle``."""
@@ -96,10 +83,7 @@ class MultiChannel(Channel):
     __slots__ = ()
 
     def send(self, cycle, payload):
-        arrival = cycle + self.delay
-        self._queue.append((arrival, payload))
+        self._queue.append((cycle + self.delay, payload))
         # keep FIFO order even with multiple sends per cycle
         if len(self._queue) > 1 and self._queue[-1][0] < self._queue[-2][0]:
             raise RuntimeError("multichannel send cycles went backwards")
-        if self.wake is not None:
-            self.wake(arrival)

@@ -254,9 +254,10 @@ class SwingFaults(FaultModel):
 
     def validate(self, config):
         super().validate(config)
-        if self.swing_mv <= 0:
+        # written so that NaN fails the checks
+        if not self.swing_mv > 0:
             raise ValueError("swing must be positive")
-        if self.sigma_mv is not None and self.sigma_mv <= 0:
+        if self.sigma_mv is not None and not self.sigma_mv > 0:
             raise ValueError("offset sigma must be positive")
 
     def error_rate(self, config):
@@ -960,7 +961,6 @@ class FaultState:
         queue = nic.queues[message.mclass]
         for flit in packet.make_flits():
             queue.append(flit)
-        self.net.wake_nic_step(message.src)
         self.retransmissions += 1
         obs = self.sim.obs
         if obs is not None:

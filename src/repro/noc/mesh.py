@@ -5,25 +5,6 @@ are one cycle (two with the textbook split ST/LT pipeline), lookahead
 wires are one cycle, and credit wires are two cycles (one cycle of wire
 plus one cycle of credit processing at the upstream node), which yields
 the paper's 3-cycle buffer/VC turnaround for the bypassed pipeline.
-
-The mesh is also the bookkeeper of the activity-gated cycle loop
-(DESIGN.md §3).  It maintains explicit wake schedules so that
-:meth:`repro.noc.simulator.Simulator.step` touches only components that
-can actually do something this cycle:
-
-* every channel is wired with a ``wake`` callback that schedules its
-  sink (router or NIC) for the payload's exact arrival cycle;
-* routers re-arm themselves through
-  :meth:`~repro.noc.router.Router.has_local_work` while they hold
-  buffered/latched flits, scheduled ``st_ops``, lookahead latches or S2
-  registers (the simulator performs the re-arm after each cycle);
-* NICs stay in the live set while they have a traffic source attached
-  or injection backlog (:meth:`wake_nic_step` is invoked by source
-  attachment and by :meth:`~repro.noc.nic.Nic.submit`).
-
-Skipping a component that none of the wake conditions cover is exact:
-all phase methods are no-ops for such a component, so gated and ungated
-stepping produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -39,15 +20,6 @@ from repro.noc.routing import RouteState, coords, node_at
 
 CREDIT_DELAY = 2
 LOOKAHEAD_DELAY = 1
-
-
-def _insert_wake(wakes, cycle, node):
-    """Add ``node`` to the ``cycle`` entry of a wake schedule."""
-    pending = wakes.get(cycle)
-    if pending is None:
-        wakes[cycle] = {node}
-    else:
-        pending.add(node)
 
 
 class MeshNetwork:
@@ -74,13 +46,6 @@ class MeshNetwork:
         self.cycles = 0
         #: monotonic network-wide ejection count (O(1) watchdog probe).
         self.ejections = 0
-        # wake schedules: absolute cycle -> set of component indices
-        # that will receive a channel delivery in that cycle
-        self._router_wakes = {}
-        self._nic_rx_wakes = {}
-        # NICs that must run their injection step() each cycle
-        self._live_nics = set(range(config.num_nodes))
-        self._live_order = None  # cached sorted view of _live_nics
         #: per-network routing runtime: one shared route memo (dropped
         #: with the network) plus the per-node header-draw streams;
         #: reseeded from the traffic seed by ``Simulator.attach_traffic``
@@ -99,66 +64,15 @@ class MeshNetwork:
         self._wire_local_ports()
         self._wire_mesh_links()
 
-    def _channel(self, cls, delay, name, wake):
-        channel = cls(delay, name, wake=wake)
+    def _channel(self, cls, delay, name):
+        channel = cls(delay, name)
         self._channels.append(channel)
         return channel
-
-    # ------------------------------------------------------------------
-    # wake scheduling (the active sets of the gated cycle loop)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _waker(wakes, node):
-        """A channel wake callback scheduling ``node`` in ``wakes``."""
-
-        def wake(cycle, _node=node, _wakes=wakes):
-            _insert_wake(_wakes, cycle, _node)
-
-        return wake
-
-    def _router_waker(self, node):
-        """A channel wake callback targeting router ``node``."""
-        return self._waker(self._router_wakes, node)
-
-    def _nic_waker(self, node):
-        """A channel wake callback targeting NIC ``node`` (its rx side)."""
-        return self._waker(self._nic_rx_wakes, node)
-
-    def schedule_router_wake(self, node, cycle):
-        """Ensure router ``node`` runs at ``cycle`` (delivery or re-arm)."""
-        _insert_wake(self._router_wakes, cycle, node)
-
-    def pop_router_wakes(self, cycle):
-        """Consume and return the router active set for ``cycle``."""
-        return self._router_wakes.pop(cycle, None)
-
-    def pop_nic_rx_wakes(self, cycle):
-        """Consume and return the NIC receive set for ``cycle``."""
-        return self._nic_rx_wakes.pop(cycle, None)
 
     def seed_routing(self, seed):
         """Reseed the routing header streams (no-op for ``None``)."""
         if seed is not None:
             self.route_state.reseed(seed)
-
-    def wake_nic_step(self, node):
-        """Mark NIC ``node`` live: it has a source or injection backlog."""
-        if node not in self._live_nics:
-            self._live_nics.add(node)
-            self._live_order = None
-
-    def retire_nic_step(self, node):
-        """Drop NIC ``node`` from the live set (no source, no backlog)."""
-        self._live_nics.discard(node)
-        self._live_order = None
-
-    def live_nics(self):
-        """The NICs whose step() must run this cycle, in index order."""
-        order = self._live_order
-        if order is None:
-            order = self._live_order = tuple(sorted(self._live_nics))
-        return order
 
     # ------------------------------------------------------------------
     # wiring
@@ -167,33 +81,28 @@ class MeshNetwork:
     def _wire_local_ports(self):
         link_delay = self.cfg.link_delay
         for node, (router, nic) in enumerate(zip(self.routers, self.nics)):
-            to_router = self._router_waker(node)
-            to_nic = self._nic_waker(node)
-
-            inject = self._channel(Channel, 1, f"nic{node}->r{node}", to_router)
+            inject = self._channel(Channel, 1, f"nic{node}->r{node}")
             nic.link_out = inject
             router.in_ports[LOCAL].link_in = inject
 
             inj_credit = self._channel(
-                MultiChannel, CREDIT_DELAY, f"r{node}->nic{node}.credit", to_nic
+                MultiChannel, CREDIT_DELAY, f"r{node}->nic{node}.credit"
             )
             router.in_ports[LOCAL].credit_out = inj_credit
             nic.credit_in = inj_credit
 
             la = self._channel(
-                Channel, LOOKAHEAD_DELAY, f"nic{node}->r{node}.la", to_router
+                Channel, LOOKAHEAD_DELAY, f"nic{node}->r{node}.la"
             )
             nic.la_out = la
             router.in_ports[LOCAL].la_in = la
 
-            eject = self._channel(
-                Channel, link_delay, f"r{node}->nic{node}", to_nic
-            )
+            eject = self._channel(Channel, link_delay, f"r{node}->nic{node}")
             router.out_ports[LOCAL].link_out = eject
             nic.link_in = eject
 
             ej_credit = self._channel(
-                MultiChannel, CREDIT_DELAY, f"nic{node}->r{node}.credit", to_router
+                MultiChannel, CREDIT_DELAY, f"nic{node}->r{node}.credit"
             )
             nic.credit_out = ej_credit
             router.out_ports[LOCAL].credit_in = ej_credit
@@ -203,7 +112,6 @@ class MeshNetwork:
         link_delay = self.cfg.link_delay
         for node in range(self.cfg.num_nodes):
             x, y = coords(node, k)
-            to_src = self._router_waker(node)
             for port, (nx, ny) in (
                 (NORTH, (x, y + 1)),
                 (EAST, (x + 1, y)),
@@ -216,25 +124,21 @@ class MeshNetwork:
                 src = self.routers[node]
                 dst = self.routers[neighbour]
                 back_port = OPPOSITE[port]
-                to_dst = self._router_waker(neighbour)
 
                 link = self._channel(
-                    Channel, link_delay, f"r{node}->r{neighbour}", to_dst
+                    Channel, link_delay, f"r{node}->r{neighbour}"
                 )
                 src.out_ports[port].link_out = link
                 dst.in_ports[back_port].link_in = link
 
                 credit = self._channel(
-                    MultiChannel,
-                    CREDIT_DELAY,
-                    f"r{neighbour}->r{node}.credit",
-                    to_src,
+                    MultiChannel, CREDIT_DELAY, f"r{neighbour}->r{node}.credit"
                 )
                 dst.in_ports[back_port].credit_out = credit
                 src.out_ports[port].credit_in = credit
 
                 la = self._channel(
-                    Channel, LOOKAHEAD_DELAY, f"r{node}->r{neighbour}.la", to_dst
+                    Channel, LOOKAHEAD_DELAY, f"r{node}->r{neighbour}.la"
                 )
                 src.out_ports[port].la_out = la
                 dst.in_ports[back_port].la_in = la
@@ -275,28 +179,13 @@ class MeshNetwork:
     def idle(self):
         """Nothing buffered, latched, scheduled, queued or in flight.
 
-        This is the exhaustive O(network) scan; the gated cycle loop
-        uses the equivalent O(active) :meth:`quiescent` instead.
+        The drain and watchdog predicate of the cycle loop.
         """
         return (
             all(r.idle() for r in self.routers)
             and all(nic.idle() for nic in self.nics)
             and all(ch.in_flight == 0 for ch in self._channels)
         )
-
-    def quiescent(self):
-        """O(active) equivalent of :meth:`idle` under gated stepping.
-
-        Sound because of the wake invariants: every in-flight payload
-        has a wake entry at its arrival cycle, every router with local
-        work is re-armed for the next cycle, and every NIC with backlog
-        is in the live set.  Hence empty schedules plus idle live NICs
-        imply the exhaustive scan would also report idle.
-        """
-        if self._router_wakes or self._nic_rx_wakes:
-            return False
-        nics = self.nics
-        return all(nics[i].idle() for i in self._live_nics)
 
     def total_router_activity(self):
         """Aggregate router counters with elapsed cycles folded in."""

@@ -39,9 +39,8 @@ class Nic:
         #: observability hook (DESIGN.md §7): an attached observer
         #: (``on_inject``/``on_eject`` methods), ``None`` by default.
         self.probe = None
-        #: owning :class:`~repro.noc.mesh.MeshNetwork` (``None`` standalone);
-        #: notified whenever this NIC acquires injection work so the
-        #: gated cycle loop knows to step it.
+        #: owning :class:`~repro.noc.mesh.MeshNetwork` (``None`` standalone),
+        #: whose id counters and routing runtime this NIC shares
         self.network = None
         # wires, connected by MeshNetwork
         self.link_out = None
@@ -49,7 +48,8 @@ class Nic:
         self.credit_in = None
         self.link_in = None
         self.credit_out = None
-        self._source = None
+        #: the attached traffic source (``None`` for a silent NIC)
+        self.source = None
         # standalone fallback id counters; a NIC inside a MeshNetwork
         # shares the network's per-simulation counters instead, so ids
         # are network-unique and every simulation starts from 0
@@ -58,25 +58,6 @@ class Nic:
         # standalone fallback routing runtime (shared network instance
         # otherwise, so header draws and route memos stay per-network)
         self._local_route_state = None
-
-    @property
-    def source(self):
-        """The attached traffic source (``None`` for a silent NIC).
-
-        A NIC with a source must be stepped every cycle — the source
-        draws from its PRBS streams per cycle (the injection decision,
-        and for a modulated injection process also the state-chain
-        advance, which ticks even through long OFF gaps), so skipping
-        a step would change the traffic trace.  Attaching one
-        therefore wakes the NIC in the owning network's active set.
-        """
-        return self._source
-
-    @source.setter
-    def source(self, source):
-        self._source = source
-        if source is not None and self.network is not None:
-            self.network.wake_nic_step(self.node)
 
     # ------------------------------------------------------------------
     # message admission
@@ -151,8 +132,6 @@ class Nic:
                 self.queues[spec.mclass].append(flit)
         self.message_log.append(message)
         self.stats.messages_submitted += 1
-        if self.network is not None:
-            self.network.wake_nic_step(self.node)
         return message
 
     # ------------------------------------------------------------------
@@ -186,7 +165,7 @@ class Nic:
         if self._pending is not None:
             self.link_out.send(cycle, self._pending)
             self._pending = None
-        source = self._source
+        source = self.source
         if source is not None:
             for spec in source.generate(cycle, self.node):
                 self.submit(spec, cycle)

@@ -433,25 +433,3 @@ class Router:
             ip.occupancy() == 0 and not ip.st_ops and ip.latch is None
             for ip in self.in_ports
         )
-
-    def has_local_work(self):
-        """Whether any phase of the *next* cycle can do something here.
-
-        This is the self-re-arm predicate of the gated cycle loop (see
-        DESIGN.md §3): a router stays in the active set while it holds
-        buffered or latched flits, scheduled traversals, a lookahead
-        latch that ``receive`` must clear, or an S2 register.  External
-        events (channel deliveries) wake it independently.
-        """
-        for ip in self.in_ports:
-            if (
-                ip.st_ops
-                or ip.latch is not None
-                or ip.la_now is not None
-                or ip.s2_vc is not None
-            ):
-                return True
-            for vc in ip.vcs:
-                if vc.buffer:
-                    return True
-        return False

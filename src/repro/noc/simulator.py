@@ -6,14 +6,10 @@ cross-component state moves through fixed-delay channels, this order is
 an implementation detail and the simulation is fully deterministic for
 a given traffic seed.
 
-The default loop is *activity gated* (DESIGN.md §3): each phase runs
-only over the components that can do something this cycle — routers
-woken by a channel delivery or re-armed while they hold local work,
-NICs with pending deliveries, and NICs with a source or backlog.
-Skipping a component outside those sets is exact (all its phase methods
-would be no-ops), so gated and ungated stepping are byte-identical;
-``Simulator(..., gated=False)`` keeps the exhaustive reference loop as
-the oracle for that claim.
+The loop is exhaustive (DESIGN.md §3): every phase visits every router
+and NIC, every cycle.  On the paper's 16-node mesh most routers carry
+traffic in most cycles, so skipping idle components did not pay for
+its bookkeeping.
 
 :meth:`Simulator.run_experiment` implements the methodology of
 Section 4.1: a scan-chain-like warm-up that is excluded from
@@ -62,23 +58,22 @@ class Simulator:
     same constructor and measurement surface.
     """
 
-    def __new__(cls, config=None, traffic=None, name="", gated=True,
-                backend="object", seeds=None):
+    def __new__(cls, config=None, traffic=None, name="", backend="object",
+                seeds=None):
         if cls is Simulator and backend != "object":
             from repro.noc.backend import resolve_backend
 
             factory = resolve_backend(backend)
             # the factory's product is not a Simulator subclass, so
             # Python skips Simulator.__init__ on the returned instance
-            return factory(config, traffic=traffic, name=name, gated=gated,
-                           seeds=seeds)
+            return factory(config, traffic=traffic, name=name, seeds=seeds)
         return super().__new__(cls)
 
     #: registry name of this backend (DESIGN.md §9)
     backend = "object"
 
-    def __init__(self, config, traffic=None, name="", gated=True,
-                 backend="object", seeds=None):
+    def __init__(self, config, traffic=None, name="", backend="object",
+                 seeds=None):
         if seeds is not None:
             raise ValueError(
                 "multi-seed batching (seeds=[...]) requires "
@@ -89,27 +84,18 @@ class Simulator:
         self.name = name or ("proposed" if config.bypass else "baseline")
         self.network = MeshNetwork(config)
         self.cycle = 0
-        self.gated = gated
         self._last_progress = 0
         self._watchdog_start = 0
         self._watchdog_armed = False
         #: attached :class:`repro.obs.observer.Observer` (``None`` when
-        #: unobserved).  The plain step functions carry no observer
-        #: hooks at all; :meth:`_stepper` swaps in the observed
-        #: variants while this is set, so an unobserved run pays
-        #: nothing for the observability layer (DESIGN.md §7).
+        #: unobserved).  :meth:`_step` tests it once per cycle; every
+        #: observer hook sits behind that test (DESIGN.md §7).
         self.obs = None
         #: attached :class:`repro.noc.faults.FaultState` (``None`` when
-        #: fault free).  Like the observer, the plain step functions
-        #: carry no fault hooks; :meth:`_stepper` wraps the chosen step
-        #: variant with the fault engine's pre-cycle phase only while
-        #: this is set, so a fault-free run pays nothing (DESIGN.md §8).
+        #: fault free).  :meth:`_stepper` wraps :meth:`_step` with the
+        #: fault engine's pre-cycle phase only while this is set, so a
+        #: fault-free run pays nothing (DESIGN.md §8).
         self.faults = None
-        #: gating effectiveness counters (diagnostics and tests):
-        #: router-phase executions and NIC step/receive executions.
-        self.router_cycles_executed = 0
-        self.nic_steps_executed = 0
-        self.nic_receives_executed = 0
         if traffic is not None:
             self.attach_traffic(traffic)
 
@@ -183,20 +169,11 @@ class Simulator:
     def _stepper(self):
         """The bound step function for the current mode.
 
-        Observed variants exist as separate functions (rather than
-        ``if self.obs`` branches inside the plain ones) so an
-        unobserved run executes exactly the pre-observability hot
-        loop; the byte-identity tests in ``tests/obs`` guard the
-        variants against drifting apart.
+        Fault injection wraps :meth:`_step` with the fault engine's
+        pre-cycle phase only while a fault model is attached, so the
+        fault-free loop stays a plain bound method (DESIGN.md §8).
         """
-        if self.obs is None:
-            step = self._step_gated if self.gated else self._step_reference
-        else:
-            step = (
-                self._step_gated_observed
-                if self.gated
-                else self._step_reference_observed
-            )
+        step = self._step
         faults = self.faults
         if faults is None:
             return step
@@ -207,176 +184,49 @@ class Simulator:
 
         return fault_step
 
-    def _step_gated(self):
-        """Activity-gated step: iterate only the active sets.
+    def _step(self):
+        """One cycle: every router and NIC, in the DESIGN.md §1 phase
+        order.
 
-        The phase order is exactly that of :meth:`_step_reference`; the
-        active sets are iterated in component-index order so even the
-        (semantically irrelevant) intra-phase order matches.
+        The only per-cycle branch is the attached-observer test, which
+        guards the begin/end cycle hooks and the phase-profiler marks
+        (DESIGN.md §7).
         """
         t = self.cycle
         net = self.network
         routers = net.routers
         nics = net.nics
-
-        woken = net.pop_router_wakes(t)
-        active = sorted(woken) if woken else ()
-        for i in active:
-            routers[i].receive(t)
-        rx = net.pop_nic_rx_wakes(t)
-        if rx:
-            self.nic_receives_executed += len(rx)
-            for i in sorted(rx):
-                nics[i].receive(t)
-        live = net.live_nics()
-        if live:
-            self.nic_steps_executed += len(live)
-            for i in live:
-                nic = nics[i]
-                nic.step(t)
-                if nic.source is None and nic.backlog() == 0:
-                    net.retire_nic_step(i)
-        for i in active:
-            routers[i].st_stage(t)
-        for i in active:
-            routers[i].msa2_stage(t)
-        for i in active:
-            routers[i].msa1_stage(t)
-        if active:
-            self.router_cycles_executed += len(active)
-            for i in active:
-                if routers[i].has_local_work():
-                    net.schedule_router_wake(i, t + 1)
-        net.cycles += 1
-        self._check_watchdog(net.quiescent)
-        self.cycle += 1
-
-    def _step_reference(self):
-        """The ungated reference loop: every component, every cycle.
-
-        Kept as the oracle for the gating refactor — the determinism
-        tests assert that gated runs are byte-identical to this loop.
-        """
-        t = self.cycle
-        net = self.network
-        # drop this cycle's wake entries so the schedules cannot grow
-        # without bound; the reference loop visits everything anyway
-        net.pop_router_wakes(t)
-        net.pop_nic_rx_wakes(t)
-        for router in net.routers:
-            router.receive(t)
-        for nic in net.nics:
-            nic.receive(t)
-        for nic in net.nics:
-            nic.step(t)
-        for router in net.routers:
-            router.st_stage(t)
-        for router in net.routers:
-            router.msa2_stage(t)
-        for router in net.routers:
-            router.msa1_stage(t)
-        net.cycles += 1
-        self._check_watchdog(net.idle)
-        self.cycle += 1
-
-    def _step_gated_observed(self):
-        """:meth:`_step_gated` with observer hooks (DESIGN.md §7).
-
-        Identical phase structure and identical simulation side
-        effects; the only additions are the begin/end cycle hooks and
-        the optional phase-profiler marks.  The observed byte-identity
-        tests assert this function never diverges from the plain one.
-        """
         obs = self.obs
-        prof = obs.profiler
-        t = self.cycle
-        obs.begin_cycle(t)
-        net = self.network
-        routers = net.routers
-        nics = net.nics
-
-        woken = net.pop_router_wakes(t)
-        active = sorted(woken) if woken else ()
-        for i in active:
-            routers[i].receive(t)
-        rx = net.pop_nic_rx_wakes(t)
-        if rx:
-            self.nic_receives_executed += len(rx)
-            for i in sorted(rx):
-                nics[i].receive(t)
-        if prof is not None:
-            prof.mark("receive")
-        live = net.live_nics()
-        if live:
-            self.nic_steps_executed += len(live)
-            for i in live:
-                nic = nics[i]
-                nic.step(t)
-                if nic.source is None and nic.backlog() == 0:
-                    net.retire_nic_step(i)
-        if prof is not None:
-            prof.mark("nic")
-        for i in active:
-            routers[i].st_stage(t)
-        if prof is not None:
-            prof.mark("st")
-        for i in active:
-            routers[i].msa2_stage(t)
-        if prof is not None:
-            prof.mark("msa2")
-        for i in active:
-            routers[i].msa1_stage(t)
-        if active:
-            self.router_cycles_executed += len(active)
-            for i in active:
-                if routers[i].has_local_work():
-                    net.schedule_router_wake(i, t + 1)
-        if prof is not None:
-            prof.mark("msa1")
-        net.cycles += 1
-        self._check_watchdog(net.quiescent)
-        obs.end_cycle(t, active)
-        self.cycle += 1
-
-    def _step_reference_observed(self):
-        """:meth:`_step_reference` with observer hooks.
-
-        The reference loop has no active set, so the end-cycle hook
-        receives ``None`` (no wake/sleep events, ``nan`` active-set
-        samples).
-        """
-        obs = self.obs
-        prof = obs.profiler
-        t = self.cycle
-        obs.begin_cycle(t)
-        net = self.network
-        net.pop_router_wakes(t)
-        net.pop_nic_rx_wakes(t)
-        for router in net.routers:
+        prof = None
+        if obs is not None:
+            obs.begin_cycle(t)
+            prof = obs.profiler
+        for router in routers:
             router.receive(t)
-        for nic in net.nics:
+        for nic in nics:
             nic.receive(t)
         if prof is not None:
             prof.mark("receive")
-        for nic in net.nics:
+        for nic in nics:
             nic.step(t)
         if prof is not None:
             prof.mark("nic")
-        for router in net.routers:
+        for router in routers:
             router.st_stage(t)
         if prof is not None:
             prof.mark("st")
-        for router in net.routers:
+        for router in routers:
             router.msa2_stage(t)
         if prof is not None:
             prof.mark("msa2")
-        for router in net.routers:
+        for router in routers:
             router.msa1_stage(t)
         if prof is not None:
             prof.mark("msa1")
         net.cycles += 1
-        self._check_watchdog(net.idle)
-        obs.end_cycle(t, None)
+        self._check_watchdog()
+        if obs is not None:
+            obs.end_cycle(t)
         self.cycle += 1
 
     def run(self, cycles):
@@ -384,11 +234,11 @@ class Simulator:
         for _ in range(cycles):
             step()
 
-    def _check_watchdog(self, quiet):
+    def _check_watchdog(self):
         """O(1) per cycle: compare the monotonic network ejection count.
 
-        ``quiet`` (the mode's idle predicate) is only consulted on the
-        slow path, once per WATCHDOG_CYCLES window, to distinguish a
+        The exhaustive :meth:`MeshNetwork.idle` scan is only consulted
+        on the slow path, once per WATCHDOG_CYCLES window, to distinguish a
         legitimately quiescent network from a hung one.  Because that
         probe is sparse, traffic injected *late* in a quiet window can
         look busy at the very first probe that sees it; a busy network
@@ -403,7 +253,7 @@ class Simulator:
             self._watchdog_start = self.cycle
             self._watchdog_armed = False
         elif self.cycle - self._watchdog_start > WATCHDOG_CYCLES:
-            if quiet():
+            if net.idle():
                 self._watchdog_armed = False
             elif self._watchdog_armed:
                 raise SimulationStalled(self.cycle, WATCHDOG_CYCLES)
@@ -462,14 +312,13 @@ class Simulator:
         sources = [nic.source for nic in net.nics]
         for nic in net.nics:
             nic.source = None
-        quiet = net.quiescent if self.gated else net.idle
+        quiet = net.idle
         if faults is not None:
-            base_quiet = quiet
 
-            def quiet(base_quiet=base_quiet, faults=faults):
+            def quiet(idle=net.idle, faults=faults):
                 # pending NACKs/backoffs keep the drain alive even
                 # while the network itself is momentarily idle
-                return base_quiet() and not faults.busy()
+                return idle() and not faults.busy()
 
         step = self._stepper()
         drained = 0

@@ -52,9 +52,9 @@ def chrome_trace(events, k):
 
     Layout: one *process* per router (pid = node) and one per NIC
     (pid = 1000 + node, so NIC tracks sort after router tracks); the
-    *thread* of a slice is the flit's VC (component-level wake/sleep
-    events sit on thread 0).  ``ts`` is the simulation cycle and every
-    event is a 1-cycle ``"X"`` slice, which chrome://tracing and
+    *thread* of a slice is the flit's VC (component-level events such
+    as ``fault`` sit on thread 0).  ``ts`` is the simulation cycle and
+    every event is a 1-cycle ``"X"`` slice, which chrome://tracing and
     Perfetto render without any further options.
     """
     trace = []

@@ -12,12 +12,11 @@ The zero-overhead-off contract (DESIGN.md §7) has two halves:
 
 * **off**: every probe slot defaults to ``None`` and each probe site is
   a single ``is not None`` test on a component the hot loop already
-  holds; the plain step functions contain no observer hooks at all
-  (the simulator swaps in observed step variants only while an
-  observer is attached).
+  holds; the simulator's cycle hooks sit behind one ``obs is not None``
+  test per cycle.
 * **on**: probes only *read* simulation state — they never touch PRBS
   streams, arbiters, credits or flit fields — so an observed run is
-  byte-identical to a bare one (asserted by the gating test suite).
+  byte-identical to a bare one (asserted by ``tests/obs``).
 
 ``detach`` restores every probe slot to ``None``, returning the
 simulator to the pristine fast path.
@@ -86,7 +85,6 @@ class Observer:
         #: current simulation cycle (maintained by begin_cycle; read by
         #: probes whose call sites carry no cycle argument)
         self.cycle = 0
-        self._prev_active = ()
         self._links = []        # [(key, channel)] in channel-index order
         self._link_src = []     # cid -> upstream node (trace payload)
         self._link_dst = []     # cid -> downstream node (trace payload)
@@ -109,7 +107,6 @@ class Observer:
         self.sim = sim
         self._k = sim.cfg.k
         self.cycle = sim.cycle
-        self._prev_active = ()
         if self.tracer is not None:
             for router in net.routers:
                 router.probe = self
@@ -164,27 +161,9 @@ class Observer:
         if self.profiler is not None:
             self.profiler.begin_cycle()
 
-    def end_cycle(self, cycle, active):
-        """``active`` is the gated loop's sorted router active set for
-        this cycle, or ``None`` under the ungated reference loop (which
-        has no wake/sleep notion)."""
-        tracer = self.tracer
-        if tracer is not None and active is not None:
-            prev = self._prev_active
-            if active != prev:
-                prev_set = set(prev)
-                active_set = set(active)
-                for node in active:
-                    if node not in prev_set:
-                        tracer.record(cycle, "wake", node)
-                for node in prev:
-                    if node not in active_set:
-                        tracer.record(cycle, "sleep", node)
-                self._prev_active = tuple(active)
+    def end_cycle(self, cycle):
         if self.sampler is not None:
-            self.sampler.tick(
-                cycle, len(active) if active is not None else None
-            )
+            self.sampler.tick(cycle)
         if self.profiler is not None:
             self.profiler.end_cycle()
 

@@ -1,6 +1,6 @@
 """Wall-clock phase timing for the simulator's cycle loop.
 
-The observed step variants bracket each per-cycle stage group with
+With an observer attached, the cycle loop brackets each stage group with
 :meth:`PhaseProfiler.mark` calls, so the profile answers the question
 the batched-kernel front needs answered: *where does the
 object-per-flit loop actually spend its time* — draining arrivals,

@@ -15,8 +15,6 @@ adaptive-routing and dashboard fronts consume:
   VCs (instantaneous), and **free credits** across its output-port
   trackers;
 * **per-NIC backlog** — flits generated but not yet injected;
-* **active-set size** — mean routers per cycle the gated loop actually
-  stepped (``nan`` under ungated stepping, which has no active set);
 * **ejections** — network-wide ejected flits since the last sample.
 
 Sampling is read-only: it never touches PRBS streams, arbiter state or
@@ -26,8 +24,6 @@ materialises numpy arrays for analysis.
 """
 
 from __future__ import annotations
-
-import math
 
 DEFAULT_INTERVAL = 64
 
@@ -42,14 +38,11 @@ class MetricsSampler:
         self.links = []  # ((x, y), (nx, ny)) in channel-index order
         self._network = None
         self._link_counts = []
-        self._active_sum = 0
-        self._active_known = True
         self._last_ejections = 0
         self._cycles_in_window = 0
         # one python list per column; numpy arrays are built on demand
         self._rows = {
             "cycle": [],
-            "active_mean": [],
             "ejections": [],
             "link_flits": [],
             "occupancy": [],
@@ -65,8 +58,6 @@ class MetricsSampler:
         self._network = network
         self.links = [key for (key, _channel) in links]
         self._link_counts = [0] * len(self.links)
-        self._active_sum = 0
-        self._active_known = True
         self._last_ejections = network.ejections
         self._cycles_in_window = 0
 
@@ -74,16 +65,8 @@ class MetricsSampler:
         """Probe target: one flit entered link ``cid`` (channel index)."""
         self._link_counts[cid] += 1
 
-    def tick(self, cycle, active_count):
-        """Advance one cycle; sample when the interval elapses.
-
-        ``active_count`` is the gated loop's router active-set size for
-        this cycle, or ``None`` under the ungated reference loop.
-        """
-        if active_count is None:
-            self._active_known = False
-        else:
-            self._active_sum += active_count
+    def tick(self, cycle):
+        """Advance one cycle; sample when the interval elapses."""
         self._cycles_in_window += 1
         if self._cycles_in_window >= self.interval:
             self._sample(cycle)
@@ -92,10 +75,6 @@ class MetricsSampler:
         net = self._network
         rows = self._rows
         rows["cycle"].append(cycle)
-        window = self._cycles_in_window
-        rows["active_mean"].append(
-            self._active_sum / window if self._active_known else math.nan
-        )
         rows["ejections"].append(net.ejections - self._last_ejections)
         self._last_ejections = net.ejections
         rows["link_flits"].append(list(self._link_counts))
@@ -108,8 +87,6 @@ class MetricsSampler:
             ]
         )
         rows["backlog"].append([nic.backlog() for nic in net.nics])
-        self._active_sum = 0
-        self._active_known = True
         self._cycles_in_window = 0
 
     # ----------------------------------------------------------- analysis
@@ -156,8 +133,6 @@ class MetricsSampler:
         out = {"samples": self.samples, "interval": self.interval}
         if self.samples == 0:
             return out
-        import numpy as np
-
         util = self.link_utilization()
         out["max_link_utilization"] = max(util.values(), default=0.0)
         out["mean_link_utilization"] = (
@@ -165,11 +140,6 @@ class MetricsSampler:
         )
         out["peak_occupancy"] = int(cols["occupancy"].max(initial=0))
         out["peak_backlog"] = int(cols["backlog"].max(initial=0))
-        active = cols["active_mean"]
-        finite = active[np.isfinite(active)]
-        out["mean_active_routers"] = (
-            float(finite.mean()) if finite.size else math.nan
-        )
         out["ejected_flits"] = int(cols["ejections"].sum())
         return out
 

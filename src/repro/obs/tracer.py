@@ -7,7 +7,7 @@ Every probe site in the simulator reduces to one flat record::
 where ``kind`` is one of :data:`EVENT_KINDS`, ``node`` is the router or
 NIC the event happened at (for ``link`` events, the *upstream* router),
 ``pid``/``seq`` identify the flit (``None`` for component-level events
-like wake/sleep) and ``extra`` carries the kind-specific payload listed
+like a fault firing) and ``extra`` carries the kind-specific payload listed
 in :data:`EXTRA_FIELD`.  Records are plain tuples of ints/strings so
 recording is a single ``deque.append`` and the trace is deterministic:
 no object ids, no wall-clock timestamps, nothing that varies from run
@@ -33,8 +33,6 @@ EVENT_KINDS = (
     "eject",      # NIC sank the flit
     "buf_write",  # flit written into an input-VC buffer
     "buf_read",   # flit popped from an input-VC buffer
-    "wake",       # router entered the gated loop's active set
-    "sleep",      # router left the active set
     "drop",       # fault engine discarded a flit (repro.noc.faults)
     "retransmit", # recovery stack re-injected a packet
     "fault",      # a scheduled hard fault fired (link/router death)
@@ -50,8 +48,6 @@ EXTRA_FIELD = {
     "eject": None,
     "buf_write": "occupancy",  # buffer depth after the write
     "buf_read": "occupancy",   # buffer depth after the read
-    "wake": None,
-    "sleep": None,
     "drop": "reason",      # unreachable/corrupt/dead-link/squash/eject/...
     "retransmit": "mid",   # message whose packet was re-injected
     "fault": "detail",     # "link-dead:a-b" or "router-dead"

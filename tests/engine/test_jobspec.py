@@ -37,6 +37,8 @@ class TestValueSemantics:
             make_job(rate=1.5)
         with pytest.raises(ValueError):
             make_job(rate=-0.1)
+        with pytest.raises(ValueError):
+            make_job(rate=float("nan"))
 
     def test_rejects_negative_cycles(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="probability"):
             BitErrorFaults(rate=1.5).validate(proposed_network())
 
+    def test_nan_swing_is_rejected(self):
+        # NaN compares false both ways, so a bare ``<= 0`` test let it
+        # through as a silently fault-free run
+        nan = float("nan")
+        with pytest.raises(ValueError, match="swing"):
+            SwingFaults(swing_mv=nan).validate(proposed_network())
+        with pytest.raises(ValueError, match="sigma"):
+            SwingFaults(sigma_mv=nan).validate(proposed_network())
+
     def test_link_death_must_be_a_mesh_link(self):
         # nodes 0 and 5 are diagonal neighbours in the k=4 mesh
         with pytest.raises(ValueError, match="not a mesh link"):

@@ -1,5 +1,8 @@
 """NIC injection/ejection, mesh wiring and simulator harness."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro import (
@@ -12,8 +15,15 @@ from repro.noc.flit import MessageClass
 from repro.noc.mesh import MeshNetwork
 from repro.noc.metrics import ActivityCounters, aggregate, message_kind
 from repro.noc.ports import EAST, LOCAL, NORTH, SOUTH, WEST
-from repro.traffic import BernoulliTraffic, MessageSpec, SyntheticBurst
-from repro.traffic.mix import MIXED_TRAFFIC
+from repro.noc.simulator import WATCHDOG_CYCLES
+from repro.traffic import (
+    BernoulliTraffic,
+    MessageSpec,
+    SyntheticBurst,
+    SyntheticTraffic,
+)
+from repro.traffic.mix import BROADCAST_ONLY, MIXED_TRAFFIC
+from repro.traffic.processes import OnOffProcess
 
 
 class TestMeshWiring:
@@ -157,6 +167,137 @@ class TestSimulator:
         assert sim.name == "base"
         assert Simulator(proposed_network()).name == "proposed"
         assert Simulator(baseline_network()).name == "baseline"
+
+    def test_long_idle_does_not_trip_watchdog(self):
+        # the O(1) watchdog consults the idle predicate only on its
+        # slow path; a legitimately quiet network must never trip it
+        sim = Simulator(proposed_network())
+        sim.run(WATCHDOG_CYCLES + 500)
+        assert sim.cycle == WATCHDOG_CYCLES + 500
+
+    def test_burst_near_watchdog_boundary_does_not_trip(self):
+        # traffic injected just before the sparse idle probe fires:
+        # the probe sees a busy network with no recent ejection, which
+        # must arm the grace window, not abort a healthy run
+        inject_at = 2 * WATCHDOG_CYCLES + 1
+        spec = MessageSpec(frozenset([15]), MessageClass.REQUEST, 1)
+        sim = Simulator(
+            proposed_network(), SyntheticBurst({(inject_at, 0): [spec]})
+        )
+        sim.run(inject_at + 100)
+        assert sim.network.messages[0].complete
+
+    def test_direct_submit_completes(self):
+        sim = Simulator(proposed_network())
+        sim.run(50)
+        spec = MessageSpec(frozenset([3]), MessageClass.REQUEST, 1)
+        sim.network.nics[0].submit(spec, sim.cycle)
+        sim.run(60)
+        assert sim.network.messages[0].complete
+        assert sim.network.idle()
+
+    def test_source_attach_mid_run_completes(self):
+        sim = Simulator(proposed_network())
+        sim.run(50)
+        spec = MessageSpec(frozenset([9]), MessageClass.REQUEST, 1)
+        burst = SyntheticBurst({(55, 2): [spec]})
+        burst.bind(sim.cfg)
+        sim.network.nics[2].source = burst
+        sim.run(80)
+        assert sim.network.messages[0].complete
+
+    def test_cycles_folded_into_activity_snapshots(self):
+        sim = Simulator(proposed_network())
+        sim.run(123)
+        n = sim.cfg.num_nodes
+        assert sim.network.total_router_activity().cycles == 123 * n
+        assert sim.network.total_nic_activity().cycles == 123 * n
+        assert sim.activity().cycles == 123 * n
+
+
+def _sha256(blob):
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedWindowStats:
+    """Golden SHA-256 digests of the canonical WindowStats of the fig5
+    (MIXED) and fig13 (BROADCAST_ONLY) driver points on both presets.
+
+    The baseline-network broadcast points are pinned nowhere else, and
+    the array backend cannot run them, so these digests are the only
+    oracle for those bytes.
+    """
+
+    FAST = dict(warmup=100, measure=300, drain=400)
+
+    @pytest.mark.parametrize(
+        "preset,mix,rate,digest",
+        [
+            (proposed_network, MIXED_TRAFFIC, 0.02,
+             "1e4d415b6b0ef57067b31f1aabaff1e949154f9f93377b000b08ae70eded19c8"),
+            (proposed_network, MIXED_TRAFFIC, 0.14,
+             "df79fd3dedcab89c9d0a3611a9cf33dbb0438410c43e270b723204a8e3746d17"),
+            (proposed_network, BROADCAST_ONLY, 0.005,
+             "a76232e42669a40688451d8fbf33242c749b8fb4a3fc909d34c213861d6427b3"),
+            (proposed_network, BROADCAST_ONLY, 0.045,
+             "2aef1a8669a241c104ef67dca8864fe341147bc3614b1e4670c89c26fc2102c9"),
+            (baseline_network, MIXED_TRAFFIC, 0.02,
+             "0ebcd03c04aecc2df337be208781405a4d2456f0d774ce5d5648131bd956838a"),
+            (baseline_network, MIXED_TRAFFIC, 0.14,
+             "f78a926a161b22e11f747365933ab657f4f905641713a97ebb6df7e92e74504a"),
+            (baseline_network, BROADCAST_ONLY, 0.005,
+             "2ad25ebdce8a3d4824bd1ae2fa49697dd9a55ed89ca4e464e8efaea278183284"),
+            (baseline_network, BROADCAST_ONLY, 0.045,
+             "db0bfcbab604bcd2c24a5651efef78639ab83e6cf840facb53fcacd71082c051"),
+        ],
+    )
+    def test_driver_points(self, preset, mix, rate, digest):
+        sim = Simulator(preset(), BernoulliTraffic(mix, rate, seed=7))
+        assert _sha256(sim.run_experiment(**self.FAST).to_dict()) == digest
+
+    @pytest.mark.parametrize(
+        "bursty,mix,rate,digest",
+        [
+            (False, MIXED_TRAFFIC, 0.05,
+             "fd9c161f8b7cc8de2fb7a7ec0cb6690b6d74b5518e3cec589d0b44f59c6b96fb"),
+            (False, BROADCAST_ONLY, 0.02,
+             "667193350cb38339e9b10e96be0e7f0cb064c87e8be989c55cddd834150b76dd"),
+            (True, MIXED_TRAFFIC, 0.05,
+             "348187f35abd6dd840798184aa346df5c5a701ef2d8962374482336eb3ec2b8d"),
+            (True, BROADCAST_ONLY, 0.02,
+             "8536409780367429b21d03016ede2a156f3ccab9554cbc2adbbca3cb1c5102e4"),
+        ],
+    )
+    def test_injection_processes(self, bursty, mix, rate, digest):
+        # long OFF gaps idle whole regions of the mesh mid-run
+        process = OnOffProcess(burst_length=32.0) if bursty else None
+        traffic = SyntheticTraffic(mix, rate, seed=7, process=process)
+        sim = Simulator(proposed_network(), traffic)
+        assert _sha256(sim.run_experiment(**self.FAST).to_dict()) == digest
+
+    def test_identical_generators_chip_artifact(self):
+        traffic = BernoulliTraffic(
+            BROADCAST_ONLY, 0.01, seed=7, identical_generators=True
+        )
+        sim = Simulator(proposed_network(), traffic)
+        assert _sha256(sim.run_experiment(**self.FAST).to_dict()) == (
+            "e7de1135976edbd611a16cfff5b06436b01fb1c9d8422250c29ba3176c9fcdd4"
+        )
+
+    def test_activity_counters(self):
+        # stronger than WindowStats: every per-router and per-NIC event
+        # count, so a skipped or doubled phase shows even off-window
+        traffic = BernoulliTraffic(MIXED_TRAFFIC, 0.08, seed=11)
+        sim = Simulator(proposed_network(), traffic)
+        sim.run(800)
+        net = sim.network
+        counters = [
+            [s.as_dict() for s in net.router_stats],
+            [s.as_dict() for s in net.nic_stats],
+        ]
+        assert _sha256(counters) == (
+            "c80f2683199a10e1d8aed674f28a891b87da3a3093f7e32c552fdb62e02f96b0"
+        )
 
 
 class TestMetrics:

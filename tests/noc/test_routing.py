@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import Simulator, proposed_network
 from repro.noc.ports import EAST, LOCAL, NORTH, SOUTH, WEST
 from repro.noc.routing import (
     coords,
@@ -12,6 +13,8 @@ from repro.noc.routing import (
     tree_hop_counts,
     xy_distance,
 )
+from repro.traffic import BernoulliTraffic
+from repro.traffic.mix import MIXED_TRAFFIC
 
 
 class TestCoords:
@@ -156,3 +159,57 @@ class TestMulticastTree:
     def test_next_router_rejects_local(self):
         with pytest.raises(ValueError):
             next_router(0, LOCAL, 4)
+
+
+class TestRouteMemo:
+    """The per-network RouteState memo that replaced the module-global
+    lru_cache: shared within a simulation, dropped with it."""
+
+    def test_memoized_route_is_shared_within_a_network(self):
+        rs = Simulator(proposed_network()).network.route_state
+        a = rs.route(0, frozenset([5, 10]), None)
+        b = rs.route(0, frozenset([10, 5]), None)
+        assert a is b  # same key -> cached object
+
+    def test_memo_is_per_network_instance(self):
+        dests = frozenset([1, 4, 11])
+        rs1 = Simulator(proposed_network()).network.route_state
+        rs2 = Simulator(proposed_network()).network.route_state
+        a, b = rs1.route(6, dests, None), rs2.route(6, dests, None)
+        assert a == b
+        assert a is not b  # no process-wide sharing across simulations
+
+    def test_cache_stats_hook(self):
+        rs = Simulator(proposed_network()).network.route_state
+        dests = frozenset([7])
+        rs.route(0, dests, None)
+        rs.route(0, dests, None)
+        info = rs.cache_info()
+        assert info["misses"] == 1 and info["hits"] == 1
+        assert info["size"] == 1 and info["capacity"] >= 1
+
+    def test_memo_matches_uncached_helper(self):
+        rs = Simulator(proposed_network()).network.route_state
+        dests = frozenset([1, 4, 11])
+        assert rs.route(6, dests, None) == route_xy_tree(6, dests, 4)
+
+    def test_empty_destinations_still_rejected(self):
+        with pytest.raises(ValueError):
+            route_xy_tree(0, frozenset(), 4)
+        # the router hot path goes through the memo; it must raise the
+        # same diagnostic, not cache or return {}
+        rs = Simulator(proposed_network()).network.route_state
+        with pytest.raises(ValueError):
+            rs.route(0, frozenset(), None)
+        assert rs.cache_info()["size"] == 0
+
+    def test_normalizes_unhashed_iterables(self):
+        assert route_xy_tree(0, {15}, 4) == route_xy_tree(0, frozenset([15]), 4)
+
+    def test_simulation_routes_through_the_shared_memo(self):
+        sim = Simulator(
+            proposed_network(), BernoulliTraffic(MIXED_TRAFFIC, 0.05, seed=7)
+        )
+        sim.run(300)
+        info = sim.network.route_state.cache_info()
+        assert info["hits"] > info["misses"] > 0

@@ -3,8 +3,7 @@
 An observed run — tracing, sampling and profiling all on — must produce
 WindowStats *and* per-router ActivityCounters byte-identical to a bare
 run of the same job, across injection processes, routing algorithms and
-both cycle-loop modes (gated and the ungated reference).  These tests
-are the teeth of DESIGN.md §7.
+traffic mixes.  These tests are the teeth of DESIGN.md §7.
 """
 
 import json
@@ -26,14 +25,14 @@ def canonical(stats):
     return json.dumps(stats.to_dict(), sort_keys=True)
 
 
-def _simulator(process_name="bernoulli", routing_name="xy", gated=True,
+def _simulator(process_name="bernoulli", routing_name="xy",
                mix=UNIFORM_UNICAST, rate=0.08):
     config = proposed_network()
     if routing_name != "xy":
         config = config.with_(routing=make_routing(routing_name))
     process = None if process_name == "bernoulli" else make_process(process_name)
     traffic = SyntheticTraffic(mix, rate, seed=7, process=process)
-    return Simulator(config, traffic, gated=gated)
+    return Simulator(config, traffic)
 
 
 def _run(observe, **kwargs):
@@ -51,27 +50,13 @@ def _run(observe, **kwargs):
 class TestObservedEqualsBare:
     @pytest.mark.parametrize("routing_name", ["xy", "o1turn"])
     @pytest.mark.parametrize("process_name", ["bernoulli", "onoff"])
-    def test_gated(self, process_name, routing_name):
+    def test_observed_equals_bare(self, process_name, routing_name):
         kwargs = dict(process_name=process_name, routing_name=routing_name)
         bare, bare_counters, _ = _run(False, **kwargs)
         seen, seen_counters, obs = _run(True, **kwargs)
         assert canonical(seen) == canonical(bare)
         assert seen_counters == bare_counters
         assert obs.tracer.recorded > 0  # the probes really fired
-
-    def test_ungated_reference_loop(self):
-        bare, bare_counters, _ = _run(False, gated=False)
-        seen, seen_counters, obs = _run(True, gated=False)
-        assert canonical(seen) == canonical(bare)
-        assert seen_counters == bare_counters
-        # the ungated loop has no active set, hence no wake/sleep events
-        counts = obs.tracer.counts()
-        assert counts["wake"] == 0 and counts["sleep"] == 0
-
-    def test_gated_matches_ungated_while_both_observed(self):
-        gated, _, _ = _run(True, gated=True)
-        ungated, _, _ = _run(True, gated=False)
-        assert canonical(gated) == canonical(ungated)
 
     def test_multicast_mix_with_tracing(self):
         bare, bare_counters, _ = _run(False, mix=MIXED_TRAFFIC, rate=0.06)

@@ -17,14 +17,14 @@ from repro.obs.export import (
 
 #: One flit's life on a 2x2 mesh: injected at NIC 0, routed and granted
 #: at router 0, traversed the link to router 1, ejected at NIC 1 — plus
-#: a component-level wake with no flit identity.
+#: a component-level fault record with no flit identity.
 EVENTS = [
     (5, "inject", 0, 7, 0, 1, None),
     (6, "route", 0, 7, 0, 1, (2,)),
     (6, "sa_grant", 0, 7, 0, 1, "bypass"),
     (7, "link", 0, 7, 0, 1, 1),
     (8, "eject", 1, 7, 0, 1, None),
-    (6, "wake", 1, None, None, None, None),
+    (6, "fault", 1, None, None, None, "router-dead"),
 ]
 
 GOLDEN_JSONL = [
@@ -38,8 +38,8 @@ GOLDEN_JSONL = [
     '"seq": 0, "vc": 1}',
     '{"cycle": 8, "extra": null, "kind": "eject", "node": 1, "pid": 7, '
     '"seq": 0, "vc": 1}',
-    '{"cycle": 6, "extra": null, "kind": "wake", "node": 1, "pid": null, '
-    '"seq": null, "vc": null}',
+    '{"cycle": 6, "extra": "router-dead", "kind": "fault", "node": 1, '
+    '"pid": null, "seq": null, "vc": null}',
 ]
 
 
@@ -60,7 +60,7 @@ class TestChromeTrace:
         trace = chrome_trace(EVENTS, k=2)
         assert trace["displayTimeUnit"] == "ms"
         events = trace["traceEvents"]
-        # four tracks: router 0, router 1 (wake), NIC 0, NIC 1
+        # four tracks: router 0, router 1 (fault), NIC 0, NIC 1
         meta = [e for e in events if e["ph"] == "M"]
         assert {m["args"]["name"] for m in meta} == {
             "router 0 (0,0)",
@@ -78,8 +78,8 @@ class TestChromeTrace:
         assert by_name["inject p7.0"]["pid"] == 1000  # NIC 0
         assert by_name["eject p7.0"]["pid"] == 1001   # NIC 1
         assert by_name["route p7.0"]["pid"] == 0      # router 0
-        assert by_name["wake"]["pid"] == 1            # router 1, tid 0
-        assert by_name["wake"]["tid"] == 0
+        assert by_name["fault"]["pid"] == 1           # router 1, tid 0
+        assert by_name["fault"]["tid"] == 0
 
     def test_extras_use_kind_specific_arg_names(self):
         events = chrome_trace(EVENTS, k=2)["traceEvents"]

@@ -1,7 +1,5 @@
 """Time-series congestion metrics: capture, analysis and display."""
 
-import math
-
 import pytest
 
 from repro import Simulator, proposed_network
@@ -34,17 +32,6 @@ class TestCapture:
         assert cols["link_flits"].shape == (n, len(sampler.links))
         assert cols["occupancy"].shape == (n, sim.cfg.num_nodes)
         assert cols["backlog"].shape == (n, sim.cfg.num_nodes)
-        # gated run: the active-set column is known (finite) throughout
-        assert all(math.isfinite(v) for v in cols["active_mean"])
-
-    def test_ungated_run_has_nan_active_column(self):
-        traffic = SyntheticTraffic(UNIFORM_UNICAST, 0.05, seed=7)
-        sim = Simulator(proposed_network(), traffic, gated=False)
-        obs = Observer(trace=False, sample=32).attach(sim)
-        sim.run(320)
-        obs.detach()
-        cols = obs.sampler.columns()
-        assert all(math.isnan(v) for v in cols["active_mean"])
 
     def test_summary_has_congestion_figures(self):
         _sim, sampler = _observed_run(measure=640)

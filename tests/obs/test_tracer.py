@@ -27,9 +27,9 @@ class TestRing:
 
     def test_capacity_one_keeps_only_the_last_event(self):
         tracer = Tracer(capacity=1)
-        tracer.record(1, "wake", 3)
-        tracer.record(2, "sleep", 3)
-        assert list(tracer.events) == [(2, "sleep", 3, None, None, None, None)]
+        tracer.record(1, "inject", 3)
+        tracer.record(2, "eject", 3)
+        assert list(tracer.events) == [(2, "eject", 3, None, None, None, None)]
         assert tracer.dropped == 1
 
     def test_zero_capacity_rejected(self):
@@ -50,7 +50,7 @@ class TestBookkeeping:
 
     def test_clear_resets_everything(self):
         tracer = Tracer(capacity=4)
-        tracer.record(0, "wake", 1)
+        tracer.record(0, "inject", 1)
         tracer.clear()
         assert len(tracer) == 0
         assert tracer.recorded == 0

@@ -6,6 +6,7 @@ run writes, lives under the same content address, and each side's cache
 hits cover the other's work.
 """
 
+import json
 import time
 from types import SimpleNamespace
 
@@ -176,6 +177,21 @@ class TestValidationAndErrors:
         response = client.post("/sweeps", json={"jobs": [good, {}]})
         assert response.status_code == 400
         assert "jobs[1]" in response.get_json()["error"]
+
+    def test_nan_rate_is_a_400_and_enqueues_nothing(self, service):
+        client, _ = service
+        bad = make_spec(0.02).to_dict()
+        bad["rate"] = float("nan")  # serialises as a bare NaN token
+        body = {"jobs": [bad, make_spec(0.05).to_dict()]}
+        response = client.post(
+            "/sweeps", data=json.dumps(body), content_type="application/json"
+        )
+        assert response.status_code == 400
+        assert "jobs[0]" in response.get_json()["error"]
+        health = client.get("/healthz").get_json()
+        assert health["queue_depth"] == 0 and health["executed"] == 0
+        # no sweep was registered either
+        assert client.get("/sweeps/sweep-1").status_code == 404
 
     def test_unknown_sweep_is_a_404(self, service):
         client, _ = service
