@@ -17,6 +17,9 @@ Covers the acceptance criteria of the routing subsystem:
   --routing ...``.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.analysis.pattern_limits import pattern_saturation_rate
@@ -72,6 +75,35 @@ class TestConservation:
         # message, so any duplicate or drop breaks this equality
         ejected = sum(s.ejected_flits for s in net.nic_stats)
         assert ejected == len(messages)
+
+
+class TestPinnedRouting:
+    """Golden SHA-256 digests of each algorithm's canonical WindowStats
+    on transpose, the pattern where the four routes differ most."""
+
+    FAST = dict(warmup=100, measure=300, drain=400)
+
+    @pytest.mark.parametrize(
+        "routing,digest",
+        [
+            ("xy",
+             "a6fafdfcc4015237b8aa05372f49208fdc10385211c12098b972c8fe1c34a89e"),
+            ("yx",
+             "23d4a19aa68ebefbafc77b975137e777fbe841173d5fc464b64479a88d5ad576"),
+            ("o1turn",
+             "a878f1f9bea7a30ab93d013861503bce7ec6912b9f238f571cf749a0be9deabc"),
+            ("valiant",
+             "3a9a69be474924e9a73bfba772d1fbc2e099a844711049eb4d63f56b0dde067f"),
+        ],
+    )
+    def test_transpose_window_stats(self, routing, digest):
+        traffic = BernoulliTraffic(
+            UNIFORM_UNICAST, 0.2, seed=7, pattern=make_pattern("transpose")
+        )
+        sim = Simulator(proposed_network(routing=make_routing(routing)), traffic)
+        stats = sim.run_experiment(**self.FAST).to_dict()
+        blob = json.dumps(stats, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
 
 class TestXYByteCompatibility:

@@ -63,6 +63,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="sigma"):
             SwingFaults(sigma_mv=nan).validate(proposed_network())
 
+    def test_nan_bit_error_rate_is_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="probability"):
+            BitErrorFaults(rate=nan).validate(proposed_network())
+        with pytest.raises(ValueError, match="probability"):
+            RandomFaults(rate=nan).validate(proposed_network())
+
     def test_link_death_must_be_a_mesh_link(self):
         # nodes 0 and 5 are diagonal neighbours in the k=4 mesh
         with pytest.raises(ValueError, match="not a mesh link"):

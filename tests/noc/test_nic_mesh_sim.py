@@ -214,6 +214,76 @@ class TestSimulator:
         assert sim.network.total_nic_activity().cycles == 123 * n
         assert sim.activity().cycles == 123 * n
 
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_gated_keyword_is_gone(self, backend):
+        # the loop steps every component every cycle; no backend keeps
+        # an activity-gating switch
+        with pytest.raises(TypeError, match="gated"):
+            Simulator(proposed_network(), backend=backend, gated=True)
+
+
+class TestIdleNetwork:
+    """Stepping every router and NIC every cycle must be a no-op on a
+    quiet mesh: no counter moves unless a flit does."""
+
+    def test_idle_mesh_records_no_events(self):
+        sim = Simulator(proposed_network())
+        sim.run(500)
+        net = sim.network
+        assert net.idle() and not net.messages
+        for stats in (*net.router_stats, *net.nic_stats):
+            assert not any(stats.as_dict().values())
+
+    def test_single_unicast_touches_only_its_xy_path(self):
+        spec = MessageSpec(frozenset([15]), MessageClass.REQUEST, 1)
+        sim = Simulator(proposed_network(), SyntheticBurst({(5, 0): [spec]}))
+        sim.run(120)
+        net = sim.network
+        assert net.messages[0].complete and net.idle()
+        # X first along the bottom row, then Y up the east column
+        busy = {
+            i for i, s in enumerate(net.router_stats)
+            if any(s.as_dict().values())
+        }
+        assert busy == {0, 1, 2, 3, 7, 11, 15}
+        # an uncontended single flit bypasses every router on the way
+        assert all(net.router_stats[i].bypasses == 1 for i in busy)
+        assert net.nic_stats[0].injections == 1
+        assert net.nic_stats[15].ejected_flits == 1
+
+    def test_idle_tracks_outstanding_messages(self):
+        sim = Simulator(
+            proposed_network(), BernoulliTraffic(MIXED_TRAFFIC, 0.05, seed=3)
+        )
+        net = sim.network
+        for _ in range(300):
+            sim.step()
+            if not all(m.complete for m in net.messages):
+                assert not net.idle()
+        for nic in net.nics:
+            nic.source = None
+        for _ in range(400):
+            if net.idle():
+                break
+            sim.step()
+        assert net.idle() and all(m.complete for m in net.messages)
+        # once drained, further cycles change no event count
+        before = [s.as_dict() for s in (*net.router_stats, *net.nic_stats)]
+        sim.run(200)
+        after = [s.as_dict() for s in (*net.router_stats, *net.nic_stats)]
+        assert net.idle() and after == before
+
+    def test_drain_ends_as_soon_as_the_mesh_is_idle(self):
+        sim = Simulator(
+            proposed_network(), BernoulliTraffic(MIXED_TRAFFIC, 0.02, seed=7)
+        )
+        stats = sim.run_experiment(warmup=100, measure=300, drain=400)
+        assert stats.stop_reason == "completed"
+        assert stats.incomplete_messages == 0
+        assert sim.network.idle()
+        # a light load drains in a few dozen cycles, not the full cap
+        assert 100 + 300 < sim.cycle < 100 + 300 + 400
+
 
 def _sha256(blob):
     return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
